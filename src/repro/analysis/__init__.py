@@ -1,6 +1,6 @@
 """adalint: domain-aware static analysis for the AdaPipe reproduction.
 
-An AST-based lint framework plus seven rules proving, on every file at
+An AST-based lint framework plus five rules proving, on every file at
 every CI run, the invariants the repo's correctness rests on but no test
 suite can exhaustively cover.
 
@@ -21,21 +21,22 @@ The original file-local families (PR 5):
 * **frozen-mutation** — ``object.__setattr__`` only inside
   ``__post_init__``.
 
-The interprocedural families (v2), built on the project symbol table /
+The interprocedural layer (v2), built on the project symbol table /
 import graph (:mod:`repro.analysis.project`), call graph
 (:mod:`repro.analysis.callgraph`) and read-set/purity dataflow
-(:mod:`repro.analysis.dataflow`):
+(:mod:`repro.analysis.dataflow`), adds the call-graph closure to
+digest-coverage and:
 
-* **registry-completeness** — every member of a contracted registry
-  (``SCHEDULE_KINDS``, ``TaskKind``, experiments, baseline methods,
-  robustness engines) appears at each declared registration site;
 * **transform-purity** — nothing reachable from the §9 duration
-  transforms mutates arguments, writes module state, or performs I/O;
-* **float-order-divergence** — the paired lowering expressions the
-  tri-engine bit-equivalence rests on share one canonical op order.
+  transforms mutates arguments, writes module state, or performs I/O.
+
+Schedule-kind drift needs no rule: every site reads the one
+:data:`~repro.pipeline.schedules.families.FAMILIES` registry. The
+engines' shared float op order is pinned by the runtime differentials
+(tri-engine fuzz and the overlap-addend test).
 
 Entry points: ``adapipe lint`` (CLI; text/JSON/SARIF reporters), checks
-9 and 12 of ``adapipe validate``, and :func:`run_lint` for programmatic
+10 and 12 of ``adapipe validate``, and :func:`run_lint` for programmatic
 use. See ``docs/ALGORITHMS.md`` sections 10 and 15 for each rule's
 soundness argument.
 """

@@ -3,9 +3,7 @@
 ``adapipe lint --list-rules`` is generated from the rule registry; the
 table in ``docs/USAGE.md`` ("Static analysis: adalint") is hand-written.
 This module diffs the two so CI fails when a rule is added, renamed, or
-re-severitied without the docs following — the same class of drift the
-registry-completeness rule catches for schedule/task kinds, applied to
-the linter's own documentation.
+re-severitied without the docs following.
 
 The table rows are recognised anywhere in the file by shape::
 

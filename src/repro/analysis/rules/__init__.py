@@ -11,20 +11,7 @@ from repro.analysis.rules.digest_coverage import (
     DigestCoverageRule,
     FieldAllowance,
 )
-from repro.analysis.rules.float_order import (
-    DEFAULT_FLOAT_CONTRACTS,
-    FloatOrderContract,
-    FloatOrderRule,
-    FloatSite,
-)
 from repro.analysis.rules.frozen_mutation import FrozenMutationRule
-from repro.analysis.rules.registry_completeness import (
-    DEFAULT_REGISTRY_CONTRACTS,
-    RegistryCompletenessRule,
-    RegistryContract,
-    RegistrySite,
-    SiteExemption,
-)
 from repro.analysis.rules.transform_purity import (
     DEFAULT_PURITY_CONTRACTS,
     PurityContract,
@@ -34,22 +21,13 @@ from repro.analysis.rules.units import UnitConsistencyRule
 
 __all__ = [
     "DEFAULT_CONTRACTS",
-    "DEFAULT_FLOAT_CONTRACTS",
     "DEFAULT_PURITY_CONTRACTS",
-    "DEFAULT_REGISTRY_CONTRACTS",
     "DeterminismRule",
     "DigestContract",
     "DigestCoverageRule",
     "FieldAllowance",
-    "FloatOrderContract",
-    "FloatOrderRule",
-    "FloatSite",
     "FrozenMutationRule",
     "PurityContract",
-    "RegistryCompletenessRule",
-    "RegistryContract",
-    "RegistrySite",
-    "SiteExemption",
     "TransformPurityRule",
     "UnitConsistencyRule",
 ]

@@ -12,11 +12,11 @@
 * ``adapipe validate`` — the cross-implementation consistency battery.
 * ``adapipe lint`` — adalint, the domain-aware static analysis pass
   (digest coverage, determinism, unit consistency, frozen mutation,
-  registry completeness, transform purity, float-order divergence);
-  text/JSON/SARIF reporters, ``--changed`` for git-scoped runs.
+  transform purity); text/JSON/SARIF reporters, ``--changed`` for
+  git-scoped runs.
 * ``adapipe audit ...`` — differential memory audit: the Section 4.2
   model's per-stage totals vs the simulator's measured peaks, across the
-  schedule zoo.
+  schedule families.
 * ``adapipe robustness ...`` — perturbation-ensemble evaluation of one
   plan: nominal vs mean/p95/worst iteration time plus per-device
   straggler criticality, optionally rendered as an SVG heat map.
@@ -33,6 +33,10 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.core.robust import ROBUST_ENGINES
+    from repro.pipeline.schedules.families import DEFAULT_KIND
+    from repro.profiler.memory import SCHEDULE_KINDS
+
     parser = argparse.ArgumentParser(
         prog="adapipe",
         description="AdaPipe (ASPLOS 2024) reproduction toolkit",
@@ -178,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="adalint: domain-aware static analysis (digest coverage, "
-             "determinism, unit consistency, frozen mutation, registry "
-             "completeness, transform purity, float op order)",
+             "determinism, unit consistency, frozen mutation, transform "
+             "purity)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -229,9 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--memory-limit-gib", type=float,
                        help="memory constraint in GiB (default: 92%% of device)")
     audit.add_argument(
-        "--schedules", nargs="+",
-        default=["1f1b", "2bp", "overlap", "gpipe", "chimera", "chimerad",
-                 "interleaved"],
+        "--schedules", nargs="+", choices=SCHEDULE_KINDS,
+        default=list(SCHEDULE_KINDS),
         help="schedule kinds to audit the plan under",
     )
     audit.add_argument("--chunks", type=int, default=2,
@@ -259,16 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     robust.add_argument("--memory-limit-gib", type=float,
                         help="memory constraint in GiB (default: 92%% of device)")
     robust.add_argument(
-        "--schedule", default="1f1b",
-        choices=["1f1b", "2bp", "overlap", "gpipe", "chimera", "chimerad",
-                 "interleaved"],
+        "--schedule", default=DEFAULT_KIND, choices=SCHEDULE_KINDS,
         help="schedule to execute the plan under",
     )
     robust.add_argument("--draws", type=int, default=16,
                         help="perturbation ensemble size")
     robust.add_argument(
         "--engine", default=None,
-        choices=["batched", "compiled", "reference"],
+        choices=ROBUST_ENGINES,
         help="ensemble execution path: the batched vectorized sweep "
              "(default) or a scalar per-draw oracle engine",
     )
@@ -289,6 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """A bad command-line value: :func:`main` prints ``error: <message>``
+    as one line on stderr and exits 2, like an argparse error."""
+
+
 def _parse_device_factors(pairs, num_ranks: int):
     """``RANK=FACTOR`` strings -> a full per-rank factor tuple (or None)."""
     if not pairs:
@@ -299,12 +305,10 @@ def _parse_device_factors(pairs, num_ranks: int):
         try:
             rank, factor = int(rank_text), float(factor_text)
         except ValueError:
-            raise SystemExit(
-                f"error: --device-factor expects RANK=FACTOR, got {pair!r}"
-            )
+            raise UsageError(f"--device-factor expects RANK=FACTOR, got {pair!r}")
         if not 0 <= rank < num_ranks:
-            raise SystemExit(
-                f"error: rank {rank} out of range for {num_ranks} pipeline ranks"
+            raise UsageError(
+                f"rank {rank} out of range for {num_ranks} pipeline ranks"
             )
         factors[rank] = factor
     return tuple(factors)
@@ -324,14 +328,14 @@ def _parse_device_pool(text: str):
         try:
             count = int(count_text) if count_text else 1
             slowdown = float(slow_text) if slow_text else 1.0
-            device = device_preset(base)
+            device = derated(device_preset(base), slowdown)
         except ValueError as err:
-            raise SystemExit(f"error: --device-pool: {err}")
+            raise UsageError(f"--device-pool: {err}")
         if count < 1:
-            raise SystemExit(f"error: --device-pool count must be >= 1 in {part!r}")
-        pool.extend([derated(device, slowdown)] * count)
+            raise UsageError(f"--device-pool count must be >= 1 in {part!r}")
+        pool.extend([device] * count)
     if not pool:
-        raise SystemExit("error: --device-pool names no devices")
+        raise UsageError("--device-pool names no devices")
     return tuple(pool)
 
 
@@ -634,7 +638,10 @@ def _cmd_replan(args) -> int:
     from repro.model.spec import model_by_name
 
     spec = model_by_name(args.model)
-    plan = load_plan(args.plan)
+    try:
+        plan = load_plan(args.plan)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"--plan: {err}")
     pool = _parse_device_pool(args.device_pool)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
     per_rank = plan.parallel.num_devices // plan.parallel.pipeline_parallel
@@ -694,6 +701,7 @@ def _cmd_audit(args) -> int:
     from repro.hardware.cluster import cluster_a, cluster_b
     from repro.model.spec import model_by_name
     from repro.pipeline.memory_audit import audit_schedule_memory
+    from repro.pipeline.schedules.families import FAMILIES
 
     spec = model_by_name(args.model)
     make_cluster = cluster_a if args.cluster == "A" else cluster_b
@@ -717,10 +725,11 @@ def _cmd_audit(args) -> int:
     failures = 0
     audited = 0
     for kind in args.schedules:
-        if kind == "interleaved":
-            target = plan_interleaved(ctx, RecomputePolicy.SELECTIVE, args.chunks)
-        else:
-            target = plan
+        target = (
+            plan_interleaved(ctx, RecomputePolicy.SELECTIVE, args.chunks)
+            if FAMILIES[kind].chunked
+            else plan
+        )
         try:
             schedule = build_schedule_for_plan(target, cluster, kind)
         except (ConfigError, ValueError) as err:
@@ -940,6 +949,14 @@ def _cmd_artifact(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

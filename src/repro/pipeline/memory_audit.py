@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.pipeline.schedules.families import DEFAULT_KIND, FAMILIES
 from repro.pipeline.simulator import SimulationResult, simulate
 from repro.pipeline.tasks import Schedule, TaskKind
 from repro.pipeline.tracing import stage_in_flight_micro_batch_peaks
@@ -281,7 +282,7 @@ def audit_schedule_memory(
 def audit_plan_memory(
     plan,
     cluster,
-    schedule_kind: str = "1f1b",
+    schedule_kind: str = DEFAULT_KIND,
     result: Optional[SimulationResult] = None,
 ) -> MemoryAuditReport:
     """Audit a :class:`~repro.core.plan.PipelinePlan` under one schedule.
@@ -311,20 +312,19 @@ def audit_plan_memory(
 def audit_plan_over_schedules(
     plan,
     cluster,
-    schedule_kinds: Sequence[str] = (
-        "1f1b",
-        "2bp",
-        "overlap",
-        "gpipe",
-        "chimera",
-        "chimerad",
-    ),
+    schedule_kinds: Optional[Sequence[str]] = None,
 ) -> Mapping[str, MemoryAuditReport]:
     """Audit a plan across the schedule zoo; skips kinds the plan can't run.
 
-    A kind is skipped (absent from the result) when the schedule builder
-    rejects the configuration — e.g. Chimera needs an even stage count.
+    ``schedule_kinds`` defaults to every family that runs an un-chunked
+    plan (chunked families need a plan built for them). A kind is skipped
+    (absent from the result) when the schedule builder rejects the
+    configuration — e.g. Chimera needs an even stage count.
     """
+    if schedule_kinds is None:
+        schedule_kinds = [
+            kind for kind, family in FAMILIES.items() if not family.chunked
+        ]
     reports: Dict[str, MemoryAuditReport] = {}
     for kind in schedule_kinds:
         try:

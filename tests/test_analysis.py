@@ -17,7 +17,6 @@ from repro.analysis import (
     FRAMEWORK_RULES,
     REPORT_VERSION,
     Finding,
-    LintContext,
     default_rules,
     load_baseline,
     parse_suppressions,
@@ -29,15 +28,10 @@ from repro.analysis import (
 )
 from repro.analysis.framework import clear_parse_cache, parse_cached
 from repro.analysis.rules import (
-    DEFAULT_FLOAT_CONTRACTS,
     DigestContract,
     DigestCoverageRule,
     FieldAllowance,
-    FloatOrderContract,
-    FloatOrderRule,
-    FloatSite,
     PurityContract,
-    RegistryCompletenessRule,
     TransformPurityRule,
 )
 from repro.experiments.cli import main as cli_main
@@ -64,9 +58,7 @@ class TestFramework:
         assert set(registered_rule_names()) == {
             "determinism",
             "digest-coverage",
-            "float-order-divergence",
             "frozen-mutation",
-            "registry-completeness",
             "transform-purity",
             "unit-consistency",
         }
@@ -235,9 +227,6 @@ class TestUnitConsistencyRule:
             "def f(peak_bytes, wait_seconds):\n"
             "    peak_bytes += wait_seconds\n"
             "    return peak_bytes\n",
-            # Any enforced dir works; avoid profiler/memory.py, which is
-            # the schedule-kind registry anchor and would add a broken-
-            # contract finding for this registry-less snippet.
             name="profiler/activation.py",
         )
         assert _rules_fired(result) == {"unit-consistency"}
@@ -365,33 +354,6 @@ class TestDigestCoverageRule:
         assert result.findings[0].path == "pipeline/simulator.py"
 
 
-class TestRegistryCompletenessRule:
-    def test_unregistered_kind_fires(self):
-        # "wavefront" is declared in the kind registry but missing from
-        # exactly one consumer: the schedule builder's dispatch.
-        result = run_lint([FIXTURES / "registry_unregistered"])
-        assert [f.rule for f in result.findings] == ["registry-completeness"]
-        finding = result.findings[0]
-        assert finding.path == "profiler/memory.py"
-        assert "wavefront" in finding.message
-        assert "build_schedule_for_plan" in finding.message
-
-    def test_fully_registered_tree_is_clean(self):
-        result = run_lint([FIXTURES / "registry_complete"])
-        assert result.ok and result.findings == []
-
-    def test_default_contracts_declare_reasons_for_exemptions(self):
-        for rule in default_rules():
-            if not isinstance(rule, RegistryCompletenessRule):
-                continue
-            for contract in rule.contracts:
-                for site in contract.sites:
-                    for exemption in site.exempt:
-                        assert exemption.reason.strip(), (
-                            contract.name, site.path, exemption.member
-                        )
-
-
 class TestDigestCoverageV2:
     def test_deep_omission_fires_across_call_boundaries(self):
         # link_hops is read nowhere in the closure of schedule_digest,
@@ -428,70 +390,6 @@ class TestTransformPurityRule:
     def test_copy_then_write_is_clean(self):
         result = run_lint([FIXTURES / "purity_pure"], rules=_purity_rules())
         assert result.ok and result.findings == []
-
-
-def _float_rules():
-    contract = FloatOrderContract(
-        name="engines",
-        anchor_path="engines.py",
-        expected=("mul(dur, factor)", "add(dur, delay)"),
-        sites=(
-            FloatSite(
-                path="engines.py",
-                func="scalar_lower",
-                roles=(
-                    ("duration", "dur"),
-                    ("factor", "factor"),
-                    ("delay", "delay"),
-                ),
-            ),
-            FloatSite(
-                path="engines.py",
-                func="vector_lower",
-                roles=(
-                    ("durations", "dur"),
-                    ("factors", "factor"),
-                    ("delays", "delay"),
-                ),
-            ),
-        ),
-    )
-    return [FloatOrderRule(contracts=(contract,))]
-
-
-class TestFloatOrderRule:
-    def test_reassociated_vector_side_fires(self):
-        result = run_lint(
-            [FIXTURES / "float_order_divergent"], rules=_float_rules()
-        )
-        assert [f.rule for f in result.findings] == ["float-order-divergence"]
-        finding = result.findings[0]
-        assert "vector_lower" in finding.message
-        assert "mul(add(dur, delay), factor)" in finding.message
-
-    def test_aligned_engines_are_clean(self):
-        result = run_lint(
-            [FIXTURES / "float_order_aligned"], rules=_float_rules()
-        )
-        assert result.ok and result.findings == []
-
-    def test_default_contracts_are_non_vacuous_on_real_tree(self):
-        # Guard against silent rot: every declared site must resolve to a
-        # real function whose extracted fingerprint equals the contract's
-        # expected tuple. A rename that broke a site would surface as a
-        # lint finding too, but assert it here with the exact site named.
-        from repro.analysis.rules.float_order import extract_fingerprint
-
-        ctx = LintContext(root=SRC_REPRO)
-        project = ctx.project_at(SRC_REPRO)
-        for contract in DEFAULT_FLOAT_CONTRACTS:
-            for site in contract.sites:
-                info = project.function(site.path, site.func)
-                assert info is not None, (contract.name, site.path, site.func)
-                fingerprint = extract_fingerprint(info.node, site.role_map())
-                assert fingerprint == contract.expected, (
-                    contract.name, site.func, fingerprint
-                )
 
 
 class TestParseCache:

@@ -9,6 +9,7 @@ schedule kinds — plus the ensemble-cache digest isolation and the
 shape-grouped batching of ``evaluate_robustness_many``.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.robust import (
-    CRITICALITY_EPSILON,
     EnsembleCache,
     ensemble_digest,
     evaluate_robustness,
@@ -25,7 +25,7 @@ from repro.core.robust import (
     global_ensemble_cache,
 )
 from repro.pipeline.batched import BatchedSchedule, batched_simulator, shape_digest
-from repro.pipeline.compiled import SimulationError
+from repro.pipeline.compiled import SimulationError, compile_schedule
 from repro.pipeline.perturb import (
     LinkDegradation,
     PerturbationSpec,
@@ -42,7 +42,7 @@ from repro.pipeline.schedules import (
     one_f_one_b_overlapped,
     one_f_one_b_schedule,
 )
-from repro.pipeline.simulator import simulate
+from repro.pipeline.simulator import simulate, simulate_reference
 from repro.pipeline.tasks import Schedule, StageCosts, Task, TaskKey, TaskKind
 
 _KINDS = (
@@ -254,6 +254,109 @@ class TestExecutorExactness:
         assert not first.flags.writeable
         assert sim.jitter_vector(8, 0.1) is not first
         assert np.all(sim.jitter_vector(7, 0.0) == 1.0)
+
+
+def _cross_edges(compiled):
+    """``(edge id, src task, dst task)`` of every cross-device edge."""
+    for j in range(compiled.num_tasks):
+        for e in range(compiled.succ_ptr[j], compiled.succ_ptr[j + 1]):
+            i = compiled.succ_idx[e]
+            if compiled.device[j] != compiled.device[i]:
+                yield e, j, i
+
+
+def _degraded_hops(schedule):
+    """A drawn hop override for every cross-device link of ``schedule``."""
+    compiled = schedule.compiled()
+    links = sorted(
+        {(compiled.device[j], compiled.device[i]) for _, j, i in _cross_edges(compiled)}
+    )
+    rng = random.Random(0x0F01D)
+    return {link: rng.uniform(0.01, 2.0) for link in links}
+
+
+def _expected_addends(schedule, link_hops):
+    """Edge id -> ``hop - overlap`` as one float subtraction."""
+    compiled = schedule.compiled()
+    view = dataclasses.replace(schedule, link_hops=link_hops)
+    return {
+        e: view.hop_for(compiled.device[j], compiled.device[i])
+        - compiled.tasks[i].overlap
+        for e, j, i in _cross_edges(compiled)
+    }
+
+
+class TestOverlapAddends:
+    """Every overlapped cross-device addend is ``hop - overlap``, one
+    subtraction, bit for bit, in each lowering (ALGORITHMS.md §15.3).
+
+    The tri-engine fuzz cannot see a refolded ``(hop - o/2) - o/2``: the
+    overlapped hop is rarely on a fuzz schedule's critical path, so the
+    iteration times do not move. These tests read the addends directly.
+    """
+
+    @pytest.mark.parametrize("degraded", [False, True], ids=["nominal", "degraded"])
+    @pytest.mark.parametrize("kind", ["overlap", "overlap-fused"])
+    def test_compiled_addends(self, kind, degraded):
+        base = _fuzz_schedule(kind)
+        hops = _degraded_hops(base) if degraded else None
+        expected = _expected_addends(base, hops)
+        compiled = compile_schedule(dataclasses.replace(base, link_hops=hops))
+        assert expected
+        assert any(compiled.tasks[i].overlap for _, _, i in _cross_edges(compiled)) == (
+            kind == "overlap-fused"
+        )
+        for e, value in expected.items():
+            assert compiled.succ_add[e].hex() == value.hex()
+
+    @pytest.mark.parametrize("degraded", [False, True], ids=["nominal", "degraded"])
+    @pytest.mark.parametrize("kind", ["overlap", "overlap-fused"])
+    def test_batched_addend_columns(self, kind, degraded):
+        schedule = _fuzz_schedule(kind)
+        hops = _degraded_hops(schedule) if degraded else None
+        expected = _expected_addends(schedule, hops)
+        sim = batched_simulator(schedule)
+        seen = set()
+        for (_, _, eids, _), column in zip(sim._plan, sim._addend_columns(hops)):
+            for e, value in zip(eids.tolist(), column[:, 0].tolist()):
+                if e in expected:
+                    assert value.hex() == expected[e].hex()
+                    seen.add(e)
+        assert seen == set(expected)
+
+    @pytest.mark.parametrize("degraded", [False, True], ids=["nominal", "degraded"])
+    def test_critical_overlapped_hop_matches_closed_form(self, degraded):
+        # p=2, n=1, fused: stage 0's backward waits on stage 1's backward
+        # across the (1 -> 0) hop, hiding r0 of recompute under it. That
+        # hop is the critical path, so every engine's end times follow
+        # the closed form, in the engines' own op order.
+        f0, f1, b0, b1, r0 = 0.2, 0.3, 1.1, 0.1, 0.07
+        h01, h10 = (0.45, 0.9) if degraded else (0.3, 0.3)
+        base = one_f_one_b_overlapped(
+            [StageCosts(forward=f0, backward=b0), StageCosts(forward=f1, backward=b1)],
+            1,
+            hop_time=0.3,
+            recompute_times=[r0, 0.0],
+            fused=True,
+        )
+        hops = {(0, 1): h01, (1, 0): h10} if degraded else None
+        schedule = dataclasses.replace(base, link_hops=hops)
+        end_f1 = (f0 + h01) + f1
+        end_b1 = end_f1 + b1
+        end_b0 = (end_b1 + (h10 - r0)) + b0
+        assert end_b1 + (h10 - r0) > f0  # the overlapped hop is critical
+        expected = [f0, end_b0, end_f1, end_b1]  # device 0 then device 1
+        keys = schedule.compiled().keys
+
+        reference = simulate_reference(schedule)
+        compiled = simulate(schedule, engine="compiled", cache=False)
+        batched = batched_simulator(base).finish_matrix(
+            batched_simulator(base).raw_durations, link_hops=hops
+        )[0]
+        for result in (reference, compiled):
+            assert [result.end_times[key] for key in keys] == expected
+            assert result.iteration_time == end_b0
+        assert batched.tolist() == expected
 
 
 class TestSharedDeterministicBaseline:

@@ -14,6 +14,9 @@ Covers the two halves of the bugfix:
 
 from __future__ import annotations
 
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,10 +34,9 @@ from repro.pipeline.schedules import (
     chimera_schedule,
     gpipe_schedule,
     interleaved_1f1b_schedule,
-    one_f_one_b_2bp,
-    one_f_one_b_overlapped,
     one_f_one_b_schedule,
 )
+from repro.pipeline.schedules.families import FAMILIES
 from repro.pipeline.simulator import simulate
 from repro.pipeline.tasks import StageCosts
 from repro.pipeline.tracing import (
@@ -188,36 +190,21 @@ class TestMeasuredPeakOracles:
 class TestAuditConservativeness:
     """Randomized costs x the schedule zoo: modelled >= simulated."""
 
-    KINDS = (
-        "1f1b",
-        "2bp",
-        "overlap",
-        "gpipe",
-        "chimera",
-        "chimerad",
-        "interleaved",
-    )
+    KINDS = tuple(FAMILIES)
 
     def _build(self, kind, costs, n, p):
-        if kind == "1f1b":
-            return one_f_one_b_schedule(costs, n)
-        if kind == "2bp":
-            return one_f_one_b_2bp(costs, n)
-        if kind == "overlap":
-            return one_f_one_b_overlapped(
-                costs, n, recompute_times=[0.25 * c.backward for c in costs]
-            )
-        if kind == "gpipe":
-            return gpipe_schedule(costs, n)
-        if kind == "chimera":
-            return chimera_schedule(costs, n)
-        if kind == "chimerad":
-            return chimera_schedule(costs, n, forward_doubling=True)
-        return interleaved_1f1b_schedule(costs * 2, n, p)
+        family = FAMILIES[kind]
+        if family.chunked:  # two chunks per device
+            costs = costs * 2
+        elif kind == "overlap":
+            # Backward beyond 2x forward is the default recompute window;
+            # widen it so every stage overlaps a recompute.
+            costs = [replace(c, backward=c.backward + 2.0 * c.forward) for c in costs]
+        return family.build(costs, n, p, 0.0, "1F1B")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_randomized_schedules_are_conservative(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
         for trial in range(6):
             p = int(rng.choice([2, 4]))
             n = int(rng.choice([1, 2, 3])) * 4
@@ -247,13 +234,15 @@ class TestAuditConservativeness:
             assert report.max_abs_rel_gap <= 1e-6
             assert all(stage.exact for stage in report.stages)
 
-    @pytest.mark.parametrize("kind", ("2bp", "overlap"))
+    @pytest.mark.parametrize(
+        "kind",
+        [kind for kind, family in FAMILIES.items() if family.exact],
+    )
     def test_new_families_are_exact_not_just_conservative(self, kind):
-        # The ISSUE's acceptance bar: the audit must report the 2BP and
-        # overlapped families "exact" — modelled in-flight equal to the
-        # simulator's measured liveness on every stage, peaks matching to
-        # float tolerance — not merely conservative.
-        rng = np.random.default_rng(hash(kind) % 2**32 + 1)
+        # Families registered exact must audit "exact" — modelled in-flight
+        # equal to the simulator's measured liveness on every stage, peaks
+        # matching to float tolerance — not merely conservative.
+        rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
         for p, n in ((2, 4), (4, 4), (4, 12), (6, 3)):
             costs = _costs(p, rng=rng)
             report = audit_schedule_memory(self._build(kind, costs, n, p), kind)
@@ -302,12 +291,7 @@ class TestPlanIntegration:
         plan = plan_adapipe(tiny_ctx)
         reports = audit_plan_over_schedules(plan, tiny_ctx.cluster)
         assert set(reports) == {
-            "1f1b",
-            "2bp",
-            "overlap",
-            "gpipe",
-            "chimera",
-            "chimerad",
+            kind for kind, family in FAMILIES.items() if not family.chunked
         }
         assert all(r.conservative for r in reports.values())
         # n=4 splits for ChimeraD here; a 6-micro-batch workload would not.

@@ -89,3 +89,44 @@ class TestPlanCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "AdaPipe" in out and "Chimera-Full" in out
+
+
+class TestBadInputs:
+    """Bad command-line values exit 2 with an error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--schedules", "1f1b", "wavefront"],
+            ["robustness", "--schedule", "wavefront"],
+            ["robustness", "--engine", "magic"],
+        ],
+        ids=["audit-schedules", "robustness-schedule", "robustness-engine"],
+    )
+    def test_unknown_registry_choice_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["plan", "--device-pool", "a100*0:4"],
+                "error: --device-pool: device slowdown must be > 0",
+            ),
+            (
+                ["replan", "--plan", "missing.json", "--device-pool", "a100:2"],
+                "error: --plan: ",
+            ),
+        ],
+        ids=["zero-slowdown-pool", "missing-plan-file"],
+    )
+    def test_bad_value_prints_one_error_line(self, argv, message, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
